@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import VelodromeOptimized
-from repro.runtime.instrument import EventPipeline, ThreadLocalFilter
+from repro.pipeline import Pipeline, ThreadLocalFilter
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.scheduler import RandomScheduler
 from repro.workloads import get
@@ -25,8 +25,8 @@ from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 def run(workload_name, thread_local_filter):
     program = get(workload_name).program(BENCH_SCALE)
     backend = VelodromeOptimized(first_warning_per_label=True)
-    filters = [ThreadLocalFilter()] if thread_local_filter else []
-    pipeline = EventPipeline([backend], filters=filters)
+    stages = [ThreadLocalFilter()] if thread_local_filter else []
+    pipeline = Pipeline([backend], stages=stages)
     interpreter = Interpreter(
         program, scheduler=RandomScheduler(BENCH_SEED), sink=pipeline.process
     )

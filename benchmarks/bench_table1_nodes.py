@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import VelodromeOptimized
-from repro.runtime.instrument import BlockFilter
+from repro.pipeline import BlockFilter
 from repro.runtime.scheduler import RandomScheduler
 from repro.runtime.tool import run_with_backends
 from repro.workloads import get, names

@@ -14,7 +14,7 @@ Run::
 """
 
 from repro.core import VelodromeOptimized
-from repro.runtime.instrument import EventPipeline
+from repro.pipeline import Pipeline
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.program import (
     Begin,
@@ -54,7 +54,7 @@ def violation_rate(granularity: str) -> float:
              ThreadSpec(filler(CELLS_PER_THREAD), "high")],
         )
         backend = VelodromeOptimized(first_warning_per_label=True)
-        pipeline = EventPipeline([backend])
+        pipeline = Pipeline([backend])
         Interpreter(
             program,
             scheduler=RandomScheduler(seed),

@@ -94,12 +94,12 @@ from repro.fuzz import (
     default_grid,
     replay_corpus,
 )
+from repro import bench as bench_harness
 from repro.harness import injection as harness_injection
 from repro.harness import report as harness_report
 from repro.harness import sensitivity as harness_sensitivity
 from repro.harness import table1 as harness_table1
 from repro.harness import table2 as harness_table2
-from repro.parallel import bench as parallel_bench
 from repro.pipeline import Pipeline, TraceSource
 from repro.resilience import (
     EXIT_INTERRUPTED,
@@ -1081,15 +1081,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="measure serial and --jobs throughput (writes "
-             "BENCH_parallel.json); 'bench store' measures the packed "
-             "trace store (writes BENCH_store.json); 'bench backends' "
-             "races the graph vs vector-clock checkers (writes "
-             "BENCH_backends.json); 'bench memo' races region "
-             "memoization on vs off (writes BENCH_memo.json)",
+        help="'bench LANE [--output FILE] [--check-against FILE]' "
+             "measures one lane at its baseline's shape and writes "
+             "BENCH_<LANE>.json; lanes: " + "; ".join(
+                 f"{name} ({lane.summary})"
+                 for name, lane in bench_harness.LANES.items()),
         add_help=False,
     )
-    bench.set_defaults(func=None, harness_main=parallel_bench.main)
+    bench.set_defaults(func=None, harness_main=bench_harness.main)
 
     lab = commands.add_parser(
         "lab",

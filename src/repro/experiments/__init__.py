@@ -6,9 +6,9 @@ CLI flags, or both), records each (workload, point) trace exactly
 once, replays it through every selected sound-and-complete backend
 via the block pipeline, and **asserts the workload's declared ground
 truth at every cell before reporting a number**.  ``repro lab
-report`` renders stored results as markdown; ``repro bench
-workloads`` is the committed-baseline scaling sweep built on the same
-machinery.
+report`` renders stored results as markdown; the ``workloads`` lane
+of :mod:`repro.bench` times :func:`record_matrix` /
+:func:`check_matrix` against a committed baseline.
 
 See ``docs/workloads.md`` for the server families and their declared
 truths, and ``EXPERIMENTS.md`` for how the lab fits the experiment
@@ -26,7 +26,9 @@ from repro.experiments.runner import (
     BACKEND_FACTORIES,
     GroundTruthMismatch,
     check_cell,
+    check_matrix,
     make_backend,
+    record_matrix,
     record_trace,
     run_lab,
 )
@@ -48,11 +50,13 @@ __all__ = [
     "LabSpec",
     "SpecError",
     "check_cell",
+    "check_matrix",
     "digest_map",
     "family_for_digest",
     "load_digests",
     "load_spec",
     "make_backend",
+    "record_matrix",
     "record_trace",
     "render_report",
     "run_lab",

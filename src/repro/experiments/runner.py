@@ -2,16 +2,18 @@
 
 The run splits into two halves the same way the repo's benches do:
 
-1. **Record once.**  Each selected (workload, point) is executed once
-   at the spec's scheduler seed with no backends attached, and the
-   trace is saved as a packed VTRC file.  Scheduling is
-   backend-independent, so every matrix cell for that pair replays the
-   *identical* event stream — backends are compared on the same input,
-   and the trace's content digest identifies the cell family anywhere
-   the trace later shows up (see :mod:`repro.experiments.digests`).
+1. **Record once** (:func:`record_matrix`).  Each selected (workload,
+   point) is executed once at the spec's scheduler seed with no
+   backends attached, and the trace is saved as a packed VTRC file.
+   Scheduling is backend-independent, so every matrix cell for that
+   pair replays the *identical* event stream — backends are compared
+   on the same input, and the trace's content digest identifies the
+   cell family anywhere the trace later shows up (see
+   :mod:`repro.experiments.digests`).
 
-2. **Check many.**  Every (workload, point, backend) cell replays the
-   recorded trace through a fresh backend via the block pipeline
+2. **Check many** (:func:`check_matrix`).  Every (workload, point,
+   backend) cell replays the recorded trace through a fresh backend
+   via the block pipeline
    (:class:`~repro.pipeline.source.PackedTraceSource`), best-of-N
    timed, optionally fanned out across processes with
    :func:`~repro.parallel.executor.run_shards`.
@@ -118,26 +120,29 @@ def check_cell(
     return None
 
 
-def run_lab(spec: LabSpec, trace_dir: Path) -> dict:
-    """Record, execute, and gate the full matrix; returns the results doc.
-
-    Raises :class:`GroundTruthMismatch` (after completing every cell)
-    if any cell's verdict or blame contradicts the declaration —
-    numbers for the clean cells are still in the exception-free parts
-    of the doc, but callers must treat the run as failed.
-    """
-    spec.validate()
+def record_matrix(spec: LabSpec, trace_dir: Path) -> dict[str, dict]:
+    """Record every selected (workload, point) once, keyed ``w@p``."""
     trace_dir = Path(trace_dir)
     trace_dir.mkdir(parents=True, exist_ok=True)
-
-    started = time.perf_counter()
     recorded: dict[str, dict] = {}
     for workload in spec.selected_workloads:
         family = SERVER_FAMILIES[workload]
         for point in spec.points:
             entry = record_trace(family, point, spec.seed, trace_dir)
             recorded[f"{workload}@{point}"] = entry
+    return recorded
 
+
+def check_matrix(
+    spec: LabSpec, recorded: dict[str, dict]
+) -> list[LabCellResult]:
+    """Replay every cell of ``spec`` over ``recorded`` and gate it.
+
+    Returns the :class:`LabCellResult` of every cell in matrix order.
+    Raises :class:`GroundTruthMismatch` (after completing every cell)
+    if any cell failed or its verdict or blame contradicts the
+    declaration.
+    """
     tasks = []
     for workload, point, backend in spec.cells():
         entry = recorded[f"{workload}@{point}"]
@@ -152,7 +157,7 @@ def run_lab(spec: LabSpec, trace_dir: Path) -> dict:
     shards = run_shards(run_lab_cell, tasks, jobs=spec.jobs)
 
     failures: list[str] = []
-    cells: list[dict] = []
+    results: list[LabCellResult] = []
     for shard in shards:
         if not shard.ok:
             task = tasks[shard.index]
@@ -166,17 +171,28 @@ def run_lab(spec: LabSpec, trace_dir: Path) -> dict:
         problem = check_cell(family, result.point, result.backend, result)
         if problem is not None:
             failures.append(problem)
-        cells.append(asdict(result))
-
-    doc = {
-        "spec": spec.to_json(),
-        "recorded": recorded,
-        "cells": cells,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
+        results.append(result)
     if failures:
         raise GroundTruthMismatch(failures)
-    return doc
+    return results
+
+
+def run_lab(spec: LabSpec, trace_dir: Path) -> dict:
+    """Record, execute, and gate the full matrix; returns the results doc.
+
+    Raises :class:`GroundTruthMismatch` (after completing every cell)
+    if any cell's verdict or blame contradicts the declaration.
+    """
+    spec.validate()
+    started = time.perf_counter()
+    recorded = record_matrix(spec, trace_dir)
+    cells = check_matrix(spec, recorded)
+    return {
+        "spec": spec.to_json(),
+        "recorded": recorded,
+        "cells": [asdict(result) for result in cells],
+        "elapsed_seconds": time.perf_counter() - started,
+    }
 
 
 def make_backend(name: str) -> AnalysisBackend:

@@ -32,7 +32,6 @@ from repro.pipeline.source import (
 from repro.pipeline.stages import (
     AtomicSpecFilter,
     BlockFilter,
-    EventFilter,
     ReentrantLockFilter,
     Stage,
     ThreadLocalFilter,
@@ -43,7 +42,6 @@ __all__ = [
     "AtomicSpecFilter",
     "BackendMetrics",
     "BlockFilter",
-    "EventFilter",
     "EventSink",
     "EventSource",
     "FanOut",

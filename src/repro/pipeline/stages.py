@@ -191,7 +191,3 @@ class BlockFilter(Stage):
             keep = stack.pop()
             return op if keep else None
         return op
-
-
-#: Backward-compatible name: filters predate the Stage terminology.
-EventFilter = Stage

@@ -1,6 +1,7 @@
 """Unit tests for the vector-clock happens-before race detector."""
 
-from repro.baselines.vectorclock import HappensBeforeRaces, VectorClock
+from repro.baselines.vectorclock import HappensBeforeRaces
+from repro.core.clocks import VectorClock
 from repro.events.trace import Trace
 
 

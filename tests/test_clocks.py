@@ -103,11 +103,6 @@ class TestDictHelpers:
 
 
 class TestDeprecationReexport:
-    def test_baselines_vectorclock_still_exports_the_class(self):
-        from repro.baselines.vectorclock import VectorClock as Legacy
-
-        assert Legacy is VectorClock
-
     def test_race_baseline_consumes_the_shared_class(self):
         from repro.baselines.vectorclock import HappensBeforeRaces
 

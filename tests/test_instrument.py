@@ -3,9 +3,10 @@
 from repro.baselines.empty import EmptyAnalysis
 from repro.core.optimized import VelodromeOptimized
 from repro.events.trace import Trace
-from repro.runtime.instrument import (
+from repro.pipeline import (
+    AtomicSpecFilter,
     BlockFilter,
-    EventPipeline,
+    Pipeline,
     ReentrantLockFilter,
     ThreadLocalFilter,
     UninstrumentedLockFilter,
@@ -103,7 +104,7 @@ class TestUninstrumentedLockFilter:
 class TestPipeline:
     def test_fanout_to_all_backends(self):
         a, b = EmptyAnalysis(), EmptyAnalysis()
-        pipeline = EventPipeline([a, b])
+        pipeline = Pipeline([a, b])
         for op in Trace.parse("1:rd(x) 2:wr(x)"):
             pipeline.process(op)
         assert a.events_processed == 2
@@ -113,9 +114,9 @@ class TestPipeline:
 
     def test_filters_applied_in_order(self):
         backend = EmptyAnalysis()
-        pipeline = EventPipeline(
+        pipeline = Pipeline(
             [backend],
-            filters=[ReentrantLockFilter(), UninstrumentedLockFilter({"m"})],
+            stages=[ReentrantLockFilter(), UninstrumentedLockFilter({"m"})],
         )
         for op in Trace.parse("1:acq(m) 1:acq(m) 1:rel(m) 1:rel(m) 1:rd(x)"):
             pipeline.process(op)
@@ -124,13 +125,13 @@ class TestPipeline:
 
     def test_pipeline_is_callable(self):
         backend = EmptyAnalysis()
-        pipeline = EventPipeline([backend])
+        pipeline = Pipeline([backend])
         pipeline(Trace.parse("1:rd(x)")[0])
         assert backend.events_processed == 1
 
     def test_warnings_aggregated(self):
         velodrome = VelodromeOptimized()
-        pipeline = EventPipeline([velodrome])
+        pipeline = Pipeline([velodrome])
         for op in Trace.parse("1:begin(m) 1:rd(x) 2:wr(x) 1:wr(x) 1:end"):
             pipeline.process(op)
         pipeline.finish()
@@ -145,7 +146,7 @@ class TestPipeline:
         assert plain.error_detected
 
         excluded = VelodromeOptimized()
-        pipeline = EventPipeline([excluded], filters=[BlockFilter({"m"})])
+        pipeline = Pipeline([excluded], stages=[BlockFilter({"m"})])
         for op in Trace.parse(text):
             pipeline.process(op)
         assert not excluded.error_detected
@@ -153,8 +154,6 @@ class TestPipeline:
 
 class TestAtomicSpecFilter:
     def test_only_specified_blocks_kept(self):
-        from repro.runtime.instrument import AtomicSpecFilter
-
         out = filtered(
             AtomicSpecFilter({"keep"}),
             "1:begin(keep) 1:rd(x) 1:end 1:begin(drop) 1:rd(x) 1:end",
@@ -165,19 +164,15 @@ class TestAtomicSpecFilter:
         """With 'bad' outside the spec, its violation is no longer an
         atomic-block violation (its ops become unary transactions)."""
         from repro.core import VelodromeOptimized
-        from repro.runtime.instrument import AtomicSpecFilter
-
         text = "1:begin(bad) 1:rd(x) 2:wr(x) 1:wr(x) 1:end"
         specced = VelodromeOptimized()
-        pipeline = EventPipeline([specced],
-                                 filters=[AtomicSpecFilter({"other"})])
+        pipeline = Pipeline([specced],
+                            stages=[AtomicSpecFilter({"other"})])
         for op in Trace.parse(text):
             pipeline.process(op)
         assert not specced.error_detected
 
     def test_nested_specified_block_survives(self):
-        from repro.runtime.instrument import AtomicSpecFilter
-
         out = filtered(
             AtomicSpecFilter({"inner"}),
             "1:begin(outer) 1:begin(inner) 1:rd(x) 1:end 1:end",

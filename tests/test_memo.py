@@ -13,10 +13,13 @@ The load-bearing properties:
   entries, and ``--memo-max 0`` disables the feature cleanly.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.bench import check_floors, drift
 from repro.core.aerodrome import AeroDrome
-from repro.core.bench_memo import check_gates, compare_to_baseline
 from repro.core.compact import VelodromeCompact
 from repro.core.memo import (
     DEFAULT_MEMO_MAX,
@@ -566,50 +569,46 @@ class TestScanRegions:
 
 
 # ------------------------------------------------------------ bench plumbing
-def bench_report(speedup, overhead):
-    return {
-        "lanes": {
-            "high_repetition": {
-                "speedup": speedup,
-                "off": {"events_per_sec": 500_000.0},
-                "on": {"events_per_sec": 500_000.0 * speedup},
-            },
-            "low_repetition": {
-                "overhead": overhead,
-                "off": {"events_per_sec": 400_000.0},
-                "on": {"events_per_sec": 400_000.0 / (1 + overhead)},
-            },
-        }
-    }
+BENCH_MEMO = (Path(__file__).resolve().parent.parent / "benchmarks"
+              / "baseline" / "BENCH_memo.json")
+
+
+def bench_report(figures=None):
+    """The committed ``memo`` baseline with ``figures`` overridden."""
+    doc = json.loads(BENCH_MEMO.read_text())
+    doc["figures"].update(figures or {})
+    return doc
 
 
 class TestBenchGates:
     def test_gates_pass(self):
-        assert check_gates(
-            bench_report(2.5, 0.05), min_speedup=2.0, max_overhead=0.10
-        ) == []
+        assert check_floors(bench_report()) == []
 
     def test_speedup_gate_fails(self):
-        failures = check_gates(
-            bench_report(1.4, 0.05), min_speedup=2.0, max_overhead=0.10
-        )
+        failures = check_floors(
+            bench_report({"high_repetition.speedup": 1.4}))
         assert len(failures) == 1 and "high_repetition" in failures[0]
 
     def test_overhead_gate_fails(self):
-        failures = check_gates(
-            bench_report(2.5, 0.25), min_speedup=2.0, max_overhead=0.10
-        )
+        failures = check_floors(
+            bench_report({"low_repetition.overhead": 0.25}))
         assert len(failures) == 1 and "low_repetition" in failures[0]
 
     def test_baseline_regression_detected(self):
-        current, baseline = bench_report(2.5, 0.05), bench_report(2.5, 0.05)
-        current["lanes"]["high_repetition"]["on"]["events_per_sec"] = 100.0
-        regressions = compare_to_baseline(current, baseline, threshold=0.30)
+        current = bench_report({"high_repetition.on.events_per_sec": 100.0})
+        regressions = drift(current, bench_report())
         assert len(regressions) == 1 and "high_repetition.on" in regressions[0]
 
     def test_faster_than_baseline_is_fine(self):
-        current, baseline = bench_report(3.5, 0.01), bench_report(2.0, 0.09)
-        assert compare_to_baseline(current, baseline) == []
+        current = bench_report({"high_repetition.on.events_per_sec": 1e9,
+                                "low_repetition.off.events_per_sec": 1e9})
+        assert drift(current, bench_report()) == []
 
     def test_missing_lanes_are_skipped(self):
-        assert compare_to_baseline(bench_report(2.5, 0.05), {}) == []
+        current = bench_report()
+        current["figures"] = {
+            name: value for name, value in current["figures"].items()
+            if name.startswith("low_repetition.")
+        }
+        current["figures"]["low_repetition.on.events_per_sec"] = 1e9
+        assert drift(current, bench_report()) == []
