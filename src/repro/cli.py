@@ -242,14 +242,6 @@ def _stream_trace_tail(path, position: int):
     return itertools.islice(iter(load_trace(path)), position, None)
 
 
-def _packed_checkpoint_meta(path):
-    """A ``checkpoint_meta`` callable for supervised runs over a
-    packed trace (shared with the serve daemon's stream worker)."""
-    from repro.serve.stream import packed_checkpoint_meta
-
-    return packed_checkpoint_meta(path)
-
-
 def _check_supervised(args: argparse.Namespace) -> int:
     """The supervised `check` path: checkpoints, budgets, resume."""
     if args.checkpoint_every and not (args.checkpoint or args.resume):
@@ -284,14 +276,17 @@ def _check_supervised_body(
     args: argparse.Namespace, budgets: Budgets, packed: bool,
     shutdown: GracefulShutdown,
 ) -> int:
+    checkpoint_meta = None
+    if packed:
+        from repro.serve.stream import packed_checkpoint_meta
+
+        checkpoint_meta = packed_checkpoint_meta(args.trace)
     options = dict(
         checkpoint_every=args.checkpoint_every,
         checkpoint_path=args.checkpoint,
         budgets=budgets,
         on_pressure=args.on_pressure,
-        checkpoint_meta=(
-            _packed_checkpoint_meta(args.trace) if packed else None
-        ),
+        checkpoint_meta=checkpoint_meta,
         stop_check=shutdown.check,
         memo=_region_memo(args),
     )
@@ -966,7 +961,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 3; backoff doubles in between)")
     serve.add_argument("--poll-interval", type=float, default=0.25,
                        metavar="SECONDS",
-                       help="spool scan interval when idle (default 0.25)")
+                       help="spool scan interval when idle: bounds how "
+                            "long a file dropped into the spool, or a "
+                            "failed stream past its backoff, waits; "
+                            "socket uploads wake the daemon at once "
+                            "(default 0.25)")
     serve.add_argument("--settle-seconds", type=float, default=1.0,
                        metavar="SECONDS",
                        help="age before a still-changing file is "

@@ -6,11 +6,12 @@ node) sends SIGTERM and expects the process to *finish cleanly*: take a
 final checkpoint, flush its reports, and exit with a code that says
 "interrupted on request" rather than "crashed" or "found warnings".
 
-:class:`GracefulShutdown` installs handlers that only set a flag — no
-work happens in signal context — and the long-running loops poll it at
-their natural safe points (between events for the supervised checker,
-between iterations for the fuzzer, between rounds for the serve
-daemon).  :meth:`GracefulShutdown.check` raises
+:class:`GracefulShutdown` installs handlers that only set a flag and
+wake the sleepers registered with :meth:`GracefulShutdown.on_trigger`
+— no work happens in signal context — and the long-running loops poll
+it at their natural safe points (between events for the supervised
+checker, between iterations for the fuzzer, between rounds for the
+serve daemon).  :meth:`GracefulShutdown.check` raises
 :class:`ShutdownRequested` from those points; callers catch it, finish
 their shutdown work, and exit with :data:`EXIT_INTERRUPTED`.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import signal
 import threading
-from typing import Optional
+from typing import Callable, Optional
 
 #: Exit status of a command stopped by SIGTERM/SIGINT after a clean
 #: shutdown (final checkpoint written, reports flushed).  Distinct from
@@ -63,6 +64,7 @@ class GracefulShutdown:
         self._event = threading.Event()
         self.signum: Optional[int] = None
         self._previous: dict[int, object] = {}
+        self._on_trigger: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------- lifecycle
     def __enter__(self) -> "GracefulShutdown":
@@ -79,6 +81,8 @@ class GracefulShutdown:
         # Only latch; all real work happens at the caller's safe point.
         self.signum = signum
         self._event.set()
+        for wake in self._on_trigger:
+            wake()
 
     # ---------------------------------------------------------------- status
     @property
@@ -90,9 +94,17 @@ class GracefulShutdown:
         if self._event.is_set():
             raise ShutdownRequested(self.signum or 0)
 
-    def wait(self, timeout: float) -> bool:
-        """Sleep up to ``timeout`` seconds, waking early on a signal."""
-        return self._event.wait(timeout)
+    def on_trigger(self, wake: Callable[[], None]) -> None:
+        """Also call ``wake`` when shutdown triggers, so a loop that
+        sleeps on its own wake-up channel still stops at once.
+
+        ``wake`` runs in the signal handler, which interrupts the main
+        thread anywhere, so it must not take a lock the main thread
+        may hold: ``queue.SimpleQueue.put`` is reentrant, while
+        ``Event.set`` deadlocks on an event the main thread is inside
+        ``wait`` of.
+        """
+        self._on_trigger.append(wake)
 
     def request(self, signum: int = signal.SIGTERM) -> None:
         """Trigger programmatically (tests, in-process embedding)."""

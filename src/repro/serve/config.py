@@ -44,10 +44,15 @@ class ServeConfig:
         no_snapshot: policy for backends without snapshot codecs
             (:data:`NO_SNAPSHOT_POLICIES`).
         retry: backoff-and-park policy for failed streams.
-        poll_interval: seconds between spool scans when idle.
+        poll_interval: seconds an idle daemon waits before scanning
+            the spool again; it bounds how long a file dropped into the
+            spool waits to be seen, and how long a failed stream waits
+            past its retry backoff.  Socket uploads wake the daemon at
+            once instead.
         settle_seconds: a file younger than this (by mtime) that the
             scanner has not yet seen twice with an unchanged size is
-            presumed still being written and re-checked next scan.
+            presumed still being written and re-checked next scan
+            (socket uploads land complete and skip this).
         http_port: serve live metrics over HTTP on this port (``0``
             binds an ephemeral port; ``None`` disables the server).
         socket_path: accept trace uploads on this unix socket (one

@@ -9,7 +9,13 @@ and drives rounds of supervised checking until told to stop::
     slice the global resource budget across them
     shard them over the worker pool (repro.parallel.run_shards)
     fold outcomes back: done / retry-with-backoff / park
-    sleep until the next poll (or exit when --oneshot and drained)
+    sleep until the next poll, an upload, or a signal
+    (or exit when --oneshot and drained)
+
+A socket upload wakes the sleep and is taken as stable on first sight,
+so it waits for no poll and no settle window; files other processes
+drop into the spool are found by the poll and wait out the settle
+protocol (:mod:`repro.serve.spool`).
 
 Robustness invariants, each pinned by a test:
 
@@ -32,7 +38,9 @@ Robustness invariants, each pinned by a test:
 
 from __future__ import annotations
 
+import queue
 import time
+from pathlib import Path
 from typing import Optional
 
 from repro.parallel.executor import run_shards
@@ -85,6 +93,12 @@ class ServeDaemon:
         self.ingest: Optional[IngestListener] = None
         #: stream_id -> monotonic deadline before the next retry.
         self._next_retry: dict[str, float] = {}
+        #: Wake-ups for the idle sleep: one per landed upload, one per
+        #: shutdown signal.  A SimpleQueue, because the signal handler
+        #: puts into it and its put is safe from a handler.
+        self._wakeups: queue.SimpleQueue = queue.SimpleQueue()
+        if shutdown is not None:
+            shutdown.on_trigger(lambda: self._wakeups.put(None))
         self._settling = 0
         self._endpoints_started = False
         self._checkpointable = self._backends_checkpointable()
@@ -245,8 +259,6 @@ class ServeDaemon:
             pass   # already moved, or raced a delete; record stands
 
     def _finish_quarantine_moves(self) -> None:
-        from pathlib import Path
-
         for record in self.registry.records():
             if record.status == QUARANTINED:
                 source = Path(record.path)
@@ -321,12 +333,24 @@ class ServeDaemon:
 
     # ------------------------------------------------------------ plumbing
     def _sleep(self, seconds: float) -> None:
+        """Idle until the poll interval passes or a wake-up arrives."""
         if seconds <= 0:
             return
-        if self.shutdown is not None:
-            self.shutdown.wait(seconds)
-        else:
-            time.sleep(seconds)
+        try:
+            self._wakeups.get(timeout=seconds)
+            # The next scan takes every upload landed so far, so the
+            # wake-ups queued behind this one are spent too.
+            while True:
+                self._wakeups.get_nowait()
+        except queue.Empty:
+            return
+
+    def _on_ingest(self, path: Path) -> None:
+        """Listener thread: an upload was published whole; take it on
+        the next round without waiting out the poll or settle window."""
+        self.metrics.count("ingested_sockets")
+        self.scanner.mark_landed(path)
+        self._wakeups.put(None)
 
     def _backends_checkpointable(self) -> bool:
         from repro.cli import resolve_backend
@@ -362,9 +386,7 @@ class ServeDaemon:
         if self.config.socket_path is not None:
             self.ingest = IngestListener(
                 self.config.socket_path, self.config.spool_dir,
-                on_ingest=lambda _path: self.metrics.count(
-                    "ingested_sockets"
-                ),
+                on_ingest=self._on_ingest,
             )
             self.ingest.start()
 

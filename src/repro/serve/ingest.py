@@ -5,9 +5,17 @@ itself connects to the daemon's unix socket, streams one complete
 trace — any on-disk format the sniffer knows — and closes its write
 side.  The listener writes the bytes to a dot-prefixed temp file in
 the spool (invisible to the scanner) and publishes it with one atomic
-rename, so the scanner can never observe a half-received upload.  From
-there the upload is indistinguishable from a dropped file: same
-stability protocol, same dedupe, same quarantine path for garbage.
+link, so the scanner can never observe a half-received upload.  The
+``on_ingest`` callback then tells the daemon the file is complete: it
+skips the spool's stability protocol and is checked on the daemon's
+next round, with the same dedupe and the same quarantine path for
+garbage as a dropped file.
+
+A published name is never reused.  Uploads are named
+``ingest-<pid>-<n>.trace``, ``n`` counting this process's uploads from
+0; a daemon restarted under the same pid (routine for PID 1 in a
+container) counts from 0 again, so a taken name gets a ``-<k>``
+suffix instead of replacing an upload already in the spool.
 
 The listener runs on its own daemon thread and never raises into the
 daemon loop: a client that disconnects mid-upload just loses its temp
@@ -35,8 +43,8 @@ class IngestListener:
         socket_path: where to bind (an existing socket file is
             replaced — a previous daemon's leftover bind).
         spool_dir: the watched spool directory uploads land in.
-        on_ingest: optional callback invoked with the published path
-            after each successful upload (metrics accounting).
+        on_ingest: optional callback invoked, on the listener thread,
+            with the published path after each successful upload.
     """
 
     def __init__(
@@ -86,8 +94,8 @@ class IngestListener:
 
     def _receive(self, connection: socket.socket) -> None:
         connection.settimeout(30.0)
-        upload = next(self._counter)
-        tmp = self.spool_dir / f".ingest-{os.getpid()}-{upload}.tmp"
+        stem = f"ingest-{os.getpid()}-{next(self._counter)}"
+        tmp = self.spool_dir / f".{stem}.tmp"
         received = 0
         try:
             with open(tmp, "wb") as sink:
@@ -101,13 +109,22 @@ class IngestListener:
                     sink.write(chunk)
             if received == 0:
                 raise ValueError("empty upload")
-        except Exception:
+            final = self._publish(tmp, stem)
+        finally:
+            # A partial upload, or the temp name of a published one.
             tmp.unlink(missing_ok=True)
-            raise
-        final = self.spool_dir / f"ingest-{os.getpid()}-{upload}.trace"
-        os.replace(tmp, final)
         if self._on_ingest is not None:
             self._on_ingest(final)
+
+    def _publish(self, tmp: Path, stem: str) -> Path:
+        """Link ``tmp`` into the spool under the first free name."""
+        final = self.spool_dir / f"{stem}.trace"
+        for suffix in itertools.count(1):
+            try:
+                os.link(tmp, final)
+                return final
+            except FileExistsError:
+                final = self.spool_dir / f"{stem}-{suffix}.trace"
 
 
 def upload_trace(socket_path: Path, payload: bytes) -> None:

@@ -8,8 +8,11 @@ arrival mode is normal here:
   file once it is *stable*: its size and mtime were unchanged across
   two consecutive scans, or its mtime is older than
   ``settle_seconds``.  Until then it is re-checked next scan, never
-  quarantined for being half-written.  (Writers that drop via rename
-  are stable immediately on most filesystems.)
+  quarantined for being half-written.  A file renamed into place
+  waits out the same rule: a scan cannot tell a rename from a growing
+  file.  Only the daemon's own socket uploads skip it
+  (:meth:`SpoolScanner.mark_landed`): the listener received them to
+  end of stream before publishing them in one step.
 * **duplicate re-drop** — identity is the content digest
   (:func:`repro.fuzz.corpus.trace_digest`), so the same trace under a
   new name or in a different lossless format is skipped as a
@@ -25,6 +28,7 @@ The scanner itself never parses beyond the digest; classification of
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,20 +82,35 @@ class SpoolScanner:
 
     ``known`` paths (already registered streams) are skipped without a
     stat-beyond-listing; everything else goes through the stability
-    protocol above.  The scanner holds only in-memory state — after a
-    daemon restart every spool file is simply re-observed, and the
-    registry's path/digest indexes make re-observation idempotent.
+    protocol above.  The scanner holds only in-memory state, and only
+    for files not yet handed out: after a daemon restart every spool
+    file is simply re-observed, and the registry's path/digest indexes
+    make re-observation idempotent.
     """
 
     def __init__(self, spool_dir: Path, settle_seconds: float = 1.0):
         self.spool_dir = Path(spool_dir)
         self.settle_seconds = settle_seconds
-        #: path -> (size, mtime_ns) from the previous scan.
+        #: path -> (size, mtime_ns) of a file still settling.
         self._sightings: dict[Path, tuple[int, int]] = {}
+        #: Uploads published whole since the last scan began; the
+        #: ingest thread adds to it while the daemon loop scans.
+        self._landed: set[Path] = set()
+        self._landed_lock = threading.Lock()
+
+    def mark_landed(self, path: Path) -> None:
+        """Take ``path`` as stable on its next sighting: it was written
+        to completion elsewhere and published in one atomic step."""
+        with self._landed_lock:
+            self._landed.add(Path(path))
 
     def scan(self, known: set[str], now: Optional[float] = None) -> ScanResult:
         """One pass over the spool; ``known`` are registered paths."""
         now = time.time() if now is None else now
+        # Every path marked before the listing is in it (it was
+        # published first), so this scan consumes the whole set.
+        with self._landed_lock:
+            landed, self._landed = self._landed, set()
         result = ScanResult()
         present: set[Path] = set()
         for path in sorted(self.spool_dir.iterdir()):
@@ -107,19 +126,20 @@ class SpoolScanner:
             except OSError:
                 continue   # raced a concurrent delete
             shape = (stat.st_size, stat.st_mtime_ns)
-            previous = self._sightings.get(path)
-            self._sightings[path] = shape
             settled = (
-                previous == shape
+                path in landed
+                or self._sightings.get(path) == shape
                 or now - stat.st_mtime >= self.settle_seconds
             )
             if not settled:
+                self._sightings[path] = shape
                 result.settling.append(path)
                 continue
+            self._sightings.pop(path, None)
             result.stable.append(self._classify(path))
         # Forget files that vanished so a re-drop restarts the protocol.
         for path in list(self._sightings):
-            if path not in present and str(path) not in known:
+            if path not in present:
                 del self._sightings[path]
         return result
 

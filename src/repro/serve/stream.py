@@ -27,6 +27,7 @@ import hashlib
 import json
 import time
 import traceback
+from bisect import bisect_right
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -59,23 +60,37 @@ def set_stop_check(hook: Optional[Callable[[], None]]):
 def packed_checkpoint_meta(path) -> Callable[[int], dict]:
     """A ``checkpoint_meta`` callable for supervised runs over a
     packed trace: records the source file and the block-aligned byte
-    offset from which a resume can re-read only the tail."""
-    def meta(position: int) -> dict:
-        from repro.store.reader import PackedTraceReader
+    offset from which a resume can re-read only the tail.
 
+    The block index is read on the first checkpoint and kept, so later
+    checkpoints bisect it instead of reopening the file.
+    """
+    index = None   # (total ops, block first_seqs, blocks) once read
+
+    def meta(position: int) -> dict:
+        nonlocal index
+        if index is None:
+            from repro.store.reader import PackedTraceReader
+
+            with PackedTraceReader(path) as reader:
+                index = (
+                    reader.total_ops,
+                    [block.first_seq for block in reader.blocks],
+                    reader.blocks,
+                )
+        total_ops, starts, blocks = index
         entry: dict = {
             "trace": str(path),
             "format": "vtrc",
             "resume_seq": position,
         }
-        with PackedTraceReader(path) as reader:
-            if 0 <= position < reader.total_ops:
-                block = reader.block_for_seq(position)
-                entry["resume_block"] = block.number
-                entry["resume_block_offset"] = block.byte_offset
-            else:  # checkpoint at end of stream: nothing left to read
-                entry["resume_block"] = None
-                entry["resume_block_offset"] = None
+        if 0 <= position < total_ops:
+            block = blocks[bisect_right(starts, position) - 1]
+            entry["resume_block"] = block.number
+            entry["resume_block_offset"] = block.byte_offset
+        else:  # checkpoint at end of stream: nothing left to read
+            entry["resume_block"] = None
+            entry["resume_block_offset"] = None
         return entry
 
     return meta

@@ -9,15 +9,27 @@ uninterrupted run (the subprocess ``kill -9`` flavor lives in
 determinism and speed).
 """
 
+import contextlib
+import io
 import json
+import sys
+import threading
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.events.serialize import dump_jsonl
 from repro.fuzz import trace_for_seed
 from repro.parallel.tasks import StreamTask
-from repro.resilience import Budgets, RingLog, ShutdownRequested
+from repro.resilience import (
+    EXIT_INTERRUPTED,
+    Budgets,
+    GracefulShutdown,
+    RingLog,
+    ShutdownRequested,
+)
 from repro.serve import (
     IngestListener,
     RetryPolicy,
@@ -40,7 +52,12 @@ from repro.serve.registry import (
     RUNNING,
 )
 from repro.serve.spool import SpoolScanner
-from repro.serve.stream import process_stream, set_stop_check
+from repro.serve.stream import (
+    packed_checkpoint_meta,
+    process_stream,
+    set_stop_check,
+)
+from repro.store.reader import PackedTraceReader
 from repro.store.writer import save_packed
 
 
@@ -58,6 +75,21 @@ def task_for(path, fmt, checkpoint=None, checkpoint_every=16,
         budgets=budgets or Budgets(), on_pressure="degrade",
         max_retained=max_retained,
     )
+
+
+def jsonl_bytes(seed):
+    buffer = io.StringIO()
+    dump_jsonl(trace_for_seed(seed), buffer, with_seq=True)
+    return buffer.getvalue().encode("utf-8")
+
+
+def wait_for(predicate, timeout, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
 
 
 def oneshot(spool, **overrides):
@@ -195,6 +227,70 @@ class TestSpoolScanner:
         target.unlink()
         scanner.scan(set())
         assert target not in scanner._sightings
+
+    def test_landed_upload_is_stable_on_first_sight(self, tmp_path):
+        scanner = SpoolScanner(tmp_path, settle_seconds=3600)
+        write_jsonl(tmp_path / "upload.trace", trace_for_seed(11))
+        write_jsonl(tmp_path / "drop.jsonl", trace_for_seed(12))
+        scanner.mark_landed(tmp_path / "upload.trace")
+        result = scanner.scan(set())
+        assert [f.path.name for f in result.stable] == ["upload.trace"]
+        assert [p.name for p in result.settling] == ["drop.jsonl"]
+
+    def test_state_holds_only_files_still_settling(self, tmp_path):
+        scanner = SpoolScanner(tmp_path, settle_seconds=3600)
+        dropped = [tmp_path / f"drop{i}.jsonl" for i in range(6)]
+        for path in dropped:
+            path.write_text("x")
+        landed = [tmp_path / f"upload{i}.trace" for i in range(3)]
+        for path in landed:
+            path.write_text("x")
+            scanner.mark_landed(path)
+        known = set()
+        for _ in range(3):   # second sightings settle every drop
+            result = scanner.scan(known)
+            known |= {str(f.path) for f in result.stable}
+        assert known == {str(p) for p in dropped + landed}
+        (tmp_path / "growing.jsonl").write_text("x")
+        scanner.scan(known)
+        assert scanner._sightings.keys() == {tmp_path / "growing.jsonl"}
+        assert scanner._landed == set()
+
+    def test_marks_racing_scans_are_each_taken_once(self, tmp_path):
+        """Uploads landing while scans run: no mark is lost (a lost
+        one would sit out the hour-long settle window)."""
+        scanner = SpoolScanner(tmp_path, settle_seconds=3600)
+        paths = [tmp_path / f"upload{i}.trace" for i in range(200)]
+
+        def land(share):
+            for path in share:
+                path.write_text("x")
+                scanner.mark_landed(path)
+
+        writers = [
+            threading.Thread(target=land, args=(paths[i::4],))
+            for i in range(4)
+        ]
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for writer in writers:
+                writer.start()
+            deadline = time.monotonic() + 10
+            while (any(writer.is_alive() for writer in writers)
+                   and time.monotonic() < deadline):
+                result = scanner.scan({str(p) for p in taken})
+                taken += [stable.path for stable in result.stable]
+            for writer in writers:
+                writer.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        result = scanner.scan({str(p) for p in taken})
+        taken += [stable.path for stable in result.stable]
+        assert sorted(taken) == sorted(paths)
+        assert scanner._sightings == {} and scanner._landed == set()
 
     def test_content_digest_is_format_independent(self, tmp_path):
         trace = trace_for_seed(5)
@@ -426,6 +522,67 @@ class TestInterruptedStreamEquivalence:
         assert resumed["quarantine"] == reference["quarantine"]
 
 
+def reference_checkpoint_meta(path, position):
+    """Checkpoint metadata from a fresh reader, as every checkpoint
+    once computed it."""
+    entry = {"trace": str(path), "format": "vtrc", "resume_seq": position,
+             "resume_block": None, "resume_block_offset": None}
+    with PackedTraceReader(path) as reader:
+        if 0 <= position < reader.total_ops:
+            block = reader.block_for_seq(position)
+            entry["resume_block"] = block.number
+            entry["resume_block_offset"] = block.byte_offset
+    return entry
+
+
+class TestPackedCheckpointMeta:
+    def test_index_read_once_per_stream(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.vtrc"
+        save_packed(trace_for_seed(12), path, block_ops=16)
+        opens = []
+        open_reader = PackedTraceReader.__init__
+
+        def counting_open(self, *args, **kwargs):
+            opens.append(1)
+            open_reader(self, *args, **kwargs)
+
+        calls = []   # (position, entry, readers opened by the call)
+
+        def recording_factory(trace_path):
+            meta = packed_checkpoint_meta(trace_path)
+
+            def recorded(position):
+                before = len(opens)
+                entry = meta(position)
+                calls.append((position, entry, len(opens) - before))
+                return entry
+
+            return recorded
+
+        monkeypatch.setattr(PackedTraceReader, "__init__", counting_open)
+        monkeypatch.setattr(
+            "repro.serve.stream.packed_checkpoint_meta", recording_factory
+        )
+        outcome = process_stream(task_for(
+            path, "vtrc", checkpoint=tmp_path / "s.ckpt",
+            checkpoint_every=16,
+        ))
+        monkeypatch.undo()
+        assert outcome["status"] == "done"
+        assert len(calls) == outcome["checkpoints_written"] >= 3
+        assert sum(opened for _, _, opened in calls) == 1
+        for position, entry, _ in calls:
+            assert entry == reference_checkpoint_meta(path, position)
+
+        meta = packed_checkpoint_meta(path)
+        with PackedTraceReader(path) as reader:
+            edges = {reader.total_ops}
+            for block in reader.blocks:
+                edges |= {block.first_seq, block.last_seq}
+        for position in sorted(edges):
+            assert meta(position) == reference_checkpoint_meta(path, position)
+
+
 class TestMetricsEndpoint:
     def scrape(self, port, route):
         with urllib.request.urlopen(
@@ -462,8 +619,6 @@ class TestMetricsEndpoint:
 
 class TestIngestSocket:
     def test_upload_lands_in_spool_atomically(self, tmp_path):
-        import time
-
         spool = tmp_path / "spool"
         spool.mkdir()
         ingested = []
@@ -472,15 +627,8 @@ class TestIngestSocket:
         )
         listener.start()
         try:
-            import io
-
-            buffer = io.StringIO()
-            dump_jsonl(trace_for_seed(11), buffer, with_seq=True)
-            upload_trace(tmp_path / "ingest.sock",
-                         buffer.getvalue().encode("utf-8"))
-            deadline = time.monotonic() + 5
-            while not ingested and time.monotonic() < deadline:
-                time.sleep(0.01)
+            upload_trace(tmp_path / "ingest.sock", jsonl_bytes(11))
+            assert wait_for(lambda: ingested, 5)
             assert len(ingested) == 1
             published = ingested[0]
             assert published.parent == spool
@@ -501,18 +649,142 @@ class TestIngestSocket:
         listener = IngestListener(tmp_path / "ingest.sock", spool)
         listener.start()
         try:
-            import io
-
-            buffer = io.StringIO()
-            dump_jsonl(trace_for_seed(11), buffer, with_seq=True)
-            upload_trace(tmp_path / "ingest.sock",
-                         buffer.getvalue().encode("utf-8"))
+            upload_trace(tmp_path / "ingest.sock", jsonl_bytes(11))
         finally:
             listener.stop()
         daemon = oneshot(spool)
         records = daemon.registry.records()
         assert len(records) == 1
         assert records[0].status == DONE
+
+    def test_restarted_listener_never_overwrites_an_upload(self, tmp_path):
+        """Two listeners in one process count uploads from 0 alike, as
+        a daemon restarted under the same pid does."""
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        for seed in (11, 12):
+            listener = IngestListener(tmp_path / "ingest.sock", spool)
+            listener.start()
+            try:
+                upload_trace(tmp_path / "ingest.sock", jsonl_bytes(seed))
+            finally:
+                listener.stop()
+            daemon = oneshot(spool)
+        assert len([p for p in spool.iterdir() if p.is_file()]) == 2
+        records = daemon.registry.records()
+        assert [r.status for r in records] == [DONE, DONE]
+        for record in records:
+            assert file_digest(Path(record.path), "jsonl")[0] \
+                == record.digest
+
+
+@contextlib.contextmanager
+def running(daemon):
+    """Run ``daemon`` on a thread; on exit, signal it and require a
+    prompt graceful stop."""
+    codes = []
+    thread = threading.Thread(
+        target=lambda: codes.append(daemon.run()), daemon=True
+    )
+    thread.start()
+    try:
+        yield
+    finally:
+        daemon.shutdown.request()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert codes == [EXIT_INTERRUPTED]
+
+
+def statuses(daemon):
+    """Spool file name -> status, read from the records on disk."""
+    out = {}
+    for path in daemon.config.registry_dir.glob("*.json"):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        out[Path(record["path"]).name] = record["status"]
+    return out
+
+
+class TestUploadWakesDaemon:
+    """With a 30 s poll and settle window, only an upload's wake-up
+    can get it checked within the 5 s these tests allow."""
+
+    @pytest.fixture
+    def daemon(self, tmp_path):
+        daemon = ServeDaemon(
+            ServeConfig(
+                spool_dir=tmp_path / "spool", poll_interval=30,
+                settle_seconds=30, socket_path=tmp_path / "ingest.sock",
+                checkpoint_every=16,
+            ),
+            shutdown=GracefulShutdown(),
+        )
+        daemon.start_endpoints()
+        yield daemon
+        daemon._stop_endpoints()
+
+    def test_upload_is_checked_without_waiting_for_the_poll(self, daemon):
+        with running(daemon):
+            assert wait_for(lambda: daemon.metrics.rounds >= 1, 5)
+            upload_trace(daemon.config.socket_path, jsonl_bytes(11))
+            assert wait_for(
+                lambda: list(statuses(daemon).values()) == [DONE], 5
+            )
+        assert daemon.scanner._landed == set()
+        assert daemon.scanner._sightings == {}
+
+    def test_dropped_file_still_settles_on_second_sighting(self, daemon):
+        scans = []
+        scan = daemon.scanner.scan
+
+        def recording_scan(known, now=None):
+            result = scan(known, now)
+            scans.append((
+                {path.name for path in result.settling},
+                {stable.path.name for stable in result.stable},
+            ))
+            return result
+
+        daemon.scanner.scan = recording_scan
+        spool = daemon.config.spool_dir
+        with running(daemon):
+            assert wait_for(lambda: daemon.metrics.rounds >= 1, 5)
+            write_jsonl(spool / "drop.jsonl", trace_for_seed(12))
+            upload_trace(daemon.config.socket_path, jsonl_bytes(11))
+            assert wait_for(
+                lambda: sorted(statuses(daemon).values()) == [DONE, DONE],
+                5,
+            )
+        upload = next(
+            name for name in statuses(daemon) if name != "drop.jsonl"
+        )
+        first = next(
+            i for i, (settling, stable) in enumerate(scans)
+            if "drop.jsonl" in settling | stable
+        )
+        # The upload's wake-up scan takes the upload, not the drop.
+        assert scans[first] == ({"drop.jsonl"}, {upload})
+        assert scans[first + 1][1] == {"drop.jsonl"}
+        assert daemon.scanner._sightings == {}
+
+    def test_upload_landing_mid_round_is_not_lost(self, daemon):
+        """The upload lands after the round's scan, so the round ends
+        with nothing to do: the wake-up must outlive it."""
+        scan = daemon.scanner.scan
+        uploaded = []
+
+        def scan_then_upload(known, now=None):
+            result = scan(known, now)
+            if not uploaded:
+                upload_trace(daemon.config.socket_path, jsonl_bytes(11))
+                uploaded.append(True)
+            return result
+
+        daemon.scanner.scan = scan_then_upload
+        with running(daemon):
+            assert wait_for(
+                lambda: list(statuses(daemon).values()) == [DONE], 5
+            )
 
 
 class TestBoundedDiagnostics:

@@ -66,6 +66,24 @@ class TestGracefulSigterm:
                 process.kill()
         assert process.returncode == EXIT_INTERRUPTED == 75
 
+    def test_serve_sigterm_wakes_the_idle_wait(self, tmp_path):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        process = spawn(
+            "serve", str(spool), "--http-port", "0",
+            "--poll-interval", "30",
+        )
+        try:
+            banner = process.stdout.readline()
+            assert banner.startswith("metrics on http://127.0.0.1:")
+            time.sleep(1.0)   # an empty spool: the daemon is idle now
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=5)
+        finally:
+            if process.poll() is None:
+                process.kill()
+        assert process.returncode == EXIT_INTERRUPTED
+
     def test_check_checkpoint_sigterm_writes_final_checkpoint(
         self, tmp_path
     ):
